@@ -15,10 +15,11 @@
 //!
 //! See `docs/PERF.md` for how to read the output.
 
+use fedat_tensor::ctx::{self, KernelCtx};
+use fedat_tensor::ops;
 use fedat_tensor::ops::{matmul_into, matmul_nt_into, matmul_tn_into};
 use fedat_tensor::rng::{fill_normal, rng_for};
 use fedat_tensor::simd::{self, SimdKernel};
-use fedat_tensor::{ops, parallel};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -29,6 +30,18 @@ fn filled(len: usize, seed: u64) -> Vec<f32> {
     let mut v = vec![0.0f32; len];
     fill_normal(&mut rng_for(seed, 91), &mut v, 0.0, 1.0);
     v
+}
+
+/// Runs `f` on one thread under `kernel`: this benchmark isolates the
+/// micro-kernel itself; the banding across the pool is measured by
+/// bench_fl_round.
+fn with_kernel<R>(kernel: SimdKernel, f: impl FnOnce() -> R) -> R {
+    let _k = ctx::install(KernelCtx {
+        simd: kernel,
+        max_threads: 1,
+        ..ctx::snapshot()
+    });
+    f()
 }
 
 /// Times `iters` calls of `f`, three repeats, returns best seconds.
@@ -68,31 +81,35 @@ fn bench_matmul(
     let mut c = vec![0.0f32; dim * dim];
 
     // Bit-identity check before timing.
-    simd::set_simd_kernel(SimdKernel::Scalar);
-    c.fill(0.0);
-    mm(&a, &b, &mut c, dim);
-    let want = c.clone();
-    simd::set_simd_kernel(SimdKernel::Auto);
-    c.fill(0.0);
-    mm(&a, &b, &mut c, dim);
-    assert_eq!(want, c, "SIMD {variant} {dim} diverged from scalar");
+    let run = |kernel| {
+        with_kernel(kernel, || {
+            let mut c = vec![0.0f32; dim * dim];
+            mm(&a, &b, &mut c, dim);
+            c
+        })
+    };
+    assert_eq!(
+        run(SimdKernel::Scalar),
+        run(SimdKernel::Auto),
+        "SIMD {variant} {dim} diverged from scalar"
+    );
 
     let flops = 2.0 * (dim * dim * dim) as f64;
     let iters = ((400_000_000.0 / flops) as usize).max(8);
     let mut measure = |kernel: SimdKernel| {
-        simd::set_simd_kernel(kernel);
-        // One warm-up call per kernel so timed runs start cache-warm.
-        c.fill(0.0);
-        mm(&a, &b, &mut c, dim);
-        let secs = time_best(iters, || {
+        with_kernel(kernel, || {
+            // One warm-up call per kernel so timed runs start cache-warm.
             c.fill(0.0);
-            mm(black_box(&a), black_box(&b), black_box(&mut c), dim);
-        });
-        flops * iters as f64 / secs.max(1e-12) / 1e9
+            mm(&a, &b, &mut c, dim);
+            let secs = time_best(iters, || {
+                c.fill(0.0);
+                mm(black_box(&a), black_box(&b), black_box(&mut c), dim);
+            });
+            flops * iters as f64 / secs.max(1e-12) / 1e9
+        })
     };
     let scalar_gflops = measure(SimdKernel::Scalar);
     let simd_gflops = measure(SimdKernel::Auto);
-    simd::set_simd_kernel(SimdKernel::Auto);
     MatmulSample {
         variant,
         dim,
@@ -125,17 +142,17 @@ fn bench_slice(
     let mut y = y0.clone();
     let iters = (200_000_000 / len).max(16);
     let mut measure = |k: SimdKernel| {
-        simd::set_simd_kernel(k);
-        y.copy_from_slice(&y0);
-        f(&x, &mut y);
-        let secs = time_best(iters, || {
-            f(black_box(&x), black_box(&mut y));
-        });
-        len as f64 * iters as f64 / secs.max(1e-12) / 1e9
+        with_kernel(k, || {
+            y.copy_from_slice(&y0);
+            f(&x, &mut y);
+            let secs = time_best(iters, || {
+                f(black_box(&x), black_box(&mut y));
+            });
+            len as f64 * iters as f64 / secs.max(1e-12) / 1e9
+        })
     };
     let scalar_gelems = measure(SimdKernel::Scalar);
     let simd_gelems = measure(SimdKernel::Auto);
-    simd::set_simd_kernel(SimdKernel::Auto);
     SliceSample {
         kernel,
         len,
@@ -167,11 +184,7 @@ fn main() {
         i += 1;
     }
 
-    // One thread: this benchmark isolates the micro-kernel itself; the
-    // banding across the pool is measured by bench_fl_round/bench_aggregate.
-    parallel::set_max_threads(1);
-    simd::set_simd_kernel(SimdKernel::Auto);
-    let backend = simd::backend_name();
+    let backend = with_kernel(SimdKernel::Auto, simd::backend_name);
     eprintln!("[bench_tensor_kernels] Auto dispatches to: {backend}");
 
     let mut matmuls = Vec::new();

@@ -95,8 +95,9 @@ impl Ctx {
 /// re-aggregates hundreds of ~33 k-weight updates and the evaluation
 /// cadence sweeps thousands of test rows, which is exactly the load the
 /// sharded aggregation kernel and the pooled streaming evaluator target.
-/// `bench_aggregate` (→ `BENCH_aggregate.json`) and the `large_cohort`
-/// example both build their federation here.
+/// perfbench's `fedat-mlp-500-churn` workload, `bench_fl_round
+/// --threads-sweep` and the `large_cohort` example build their federation
+/// here.
 pub fn large_cohort_task(n_clients: usize, seed: u64) -> FedTask {
     let mut rng = rng_for(seed.wrapping_add(7), tags::DATA);
     let spec = FeatureSynthSpec {

@@ -1,11 +1,10 @@
 //! Model aggregation: intra-tier `n_k/N_c` averaging (Algorithm 2 inner
 //! loop) and the cross-tier weighted heuristic of Eq. (5).
 //!
-//! Both reductions funnel into [`weighted_sum_into`], whose default kernel
-//! shards the model dimension into fixed cache-sized chunks on the kernel
-//! pool — so every strategy's server-side aggregation scales with cohort
-//! size while staying bit-identical to the serial baseline for any thread
-//! count (see `fedat_tensor::ops::AggKernel`).
+//! Both reductions funnel into [`weighted_sum_into`], which shards the
+//! model dimension into fixed cache-sized chunks on the kernel pool — so
+//! every strategy's server-side aggregation scales with cohort size while
+//! staying bit-identical to a fused serial pass for any thread count.
 
 use fedat_tensor::ops::{robust_reduce_into, weighted_sum_into, RobustRule};
 use serde::{Deserialize, Serialize};
@@ -15,8 +14,8 @@ use serde::{Deserialize, Serialize};
 /// `WeightedMean` is the paper's `n_k/N_c` rule; the robust rules trade its
 /// sample weighting for resistance to corrupted updates (the standard
 /// Byzantine-robust estimators are unweighted order statistics). All three
-/// are bit-identical across AggKernel × SimdKernel × thread counts, and the
-/// robust rules are additionally invariant under client-update permutation
+/// are bit-identical across SimdKernel × thread counts, and the robust
+/// rules are additionally invariant under client-update permutation
 /// (see `fedat_tensor::ops::robust_reduce_into` for the argument).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub enum AggRule {

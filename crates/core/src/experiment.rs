@@ -86,13 +86,13 @@ pub fn run_experiment_shared(task: &Arc<FedTask>, cfg: &ExperimentConfig) -> Out
         "cluster size must match the federation"
     );
     let fleet = Fleet::new(&cluster, task.fed.client_sizes());
-    // Resolve the run's execution context ONCE — process-global toggles and
-    // env are only the default layer under any per-config overrides — and
-    // install its kernel overlay for the run's scope. Every thread-crossing
-    // point below (speculative training jobs, pipelined evals, fork-join
-    // regions) re-installs the overlay on the executing thread, so
-    // concurrent runs with different contexts never read each other's
-    // toggles.
+    // Resolve the run's execution context ONCE — the env-initialized
+    // process defaults are only the default layer under any per-config
+    // overrides — and install its kernel overlay for the run's scope. Every
+    // thread-crossing point below (speculative training jobs, pipelined
+    // evals, fork-join regions) re-installs the overlay on the executing
+    // thread, so concurrent runs with different contexts never read each
+    // other's settings.
     let exec = crate::exec::ExecCtx::resolve(cfg);
     let _overlay = exec.enter();
     let mut strategy = build_strategy(Arc::clone(task), cfg, &fleet, exec);

@@ -6,9 +6,8 @@
 //!
 //! * **Model reuse** — simulated clients are stateless between rounds, so
 //!   the (expensive, RNG-driven) model construction is hoisted into a
-//!   thread-local cache keyed by [`fedat_nn::models::ModelSpec`]; each dispatch just loads
-//!   the downloaded weights with `set_weights`. The per-dispatch rebuild is
-//!   kept behind [`set_model_reuse`] as the measured baseline.
+//!   thread-local cache keyed by [`fedat_nn::models::ModelSpec`]; each
+//!   dispatch just loads the downloaded weights with `set_weights`.
 //! * **Zero-copy globals** — the downloaded weights arrive as a shared
 //!   `Arc<[f32]>` (one decoded broadcast per tier round) and the proximal
 //!   term holds the same `Arc` instead of cloning the full vector.
@@ -19,7 +18,7 @@
 //!   so strategies wrap each dispatch in a [`TrainJob`] and launch it on
 //!   the kernel pool *at dispatch time* ([`TrainHandle::launch`]); the
 //!   event loop joins the finished result when the completion event fires.
-//!   See [`crate::exec`] for the mode toggle and the determinism argument.
+//!   See [`crate::exec`] for the mode switch and the determinism argument.
 
 use crate::config::ExperimentConfig;
 use crate::exec::ExecMode;
@@ -27,33 +26,7 @@ use fedat_data::suite::FedTask;
 use fedat_nn::model::Model;
 use fedat_nn::optim::ProxTerm;
 use fedat_tensor::rng::{rng_for, tags};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// Whether clients reuse a cached model instance per thread (the default)
-/// or rebuild the model on every dispatch (the naive baseline).
-static REUSE_MODELS: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables thread-local model reuse. `false` restores the
-/// seed's behavior (a full `ModelSpec::build` per dispatch) and exists for
-/// the `BENCH_fl_round.json` baseline.
-///
-/// The cache itself lives in [`fedat_nn::models::with_cached_model`] and
-/// is shared with the pooled evaluators, so the reuse policy cannot drift
-/// between the training and evaluation paths. Reuse is behavior-neutral:
-/// every weight is overwritten by `set_weights` before training, and none
-/// of the spec-built architectures carry non-parameter state across
-/// batches — an invariant documented on [`fedat_nn::models::ModelSpec::build`] and pinned
-/// (for the dense and conv families) by
-/// `model_reuse_matches_fresh_builds_exactly`.
-pub fn set_model_reuse(enabled: bool) {
-    REUSE_MODELS.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether model reuse is enabled.
-pub fn model_reuse() -> bool {
-    REUSE_MODELS.load(Ordering::Relaxed)
-}
 
 /// Everything one client dispatch needs to train, owned (`'static`) so the
 /// job can run on any pool worker. The model itself stays shared: `task`
@@ -112,7 +85,7 @@ enum HandleKind {
 impl TrainHandle {
     /// Starts `job` under the caller's [`ExecMode`] — the mode travels
     /// explicitly from the run's [`crate::exec::ExecCtx`] rather than being
-    /// read from the process-wide toggle, so concurrent runs with different
+    /// read from the process default, so concurrent runs with different
     /// modes cannot cross-talk.
     pub fn launch(job: TrainJob, mode: ExecMode) -> TrainHandle {
         TrainHandle(Some(match mode {
@@ -183,6 +156,14 @@ pub struct LocalUpdate {
 /// `use_prox` applies the Eq. (3) constraint `λ/2‖w − w_global‖²` around the
 /// *downloaded* global model. The `Arc` is shared into the prox term —
 /// no copy of the global vector is made.
+///
+/// The model instance comes from [`fedat_nn::models::with_cached_model`],
+/// the thread-local cache shared with the pooled evaluators. Reuse is
+/// behavior-neutral: every weight is overwritten by `set_weights` before
+/// training, and none of the spec-built architectures carry non-parameter
+/// state across batches — an invariant documented on
+/// [`fedat_nn::models::ModelSpec::build`] and pinned (for the dense and
+/// conv families) by `model_reuse_matches_fresh_builds_exactly`.
 pub fn train_client(
     task: &FedTask,
     client: usize,
@@ -192,23 +173,9 @@ pub fn train_client(
     selection_round: u64,
     use_prox: bool,
 ) -> LocalUpdate {
-    if model_reuse() {
-        fedat_nn::models::with_cached_model(&task.model, cfg.seed, |model| {
-            run_local_epochs(
-                model,
-                task,
-                client,
-                global,
-                cfg,
-                epochs,
-                selection_round,
-                use_prox,
-            )
-        })
-    } else {
-        let mut model = task.model.build(cfg.seed);
+    fedat_nn::models::with_cached_model(&task.model, cfg.seed, |model| {
         run_local_epochs(
-            model.as_mut(),
+            model,
             task,
             client,
             global,
@@ -217,7 +184,7 @@ pub fn train_client(
             selection_round,
             use_prox,
         )
-    }
+    })
 }
 
 /// The local-training inner loop, on whichever model instance
@@ -309,9 +276,9 @@ mod tests {
         // the dense (logistic) and conv (CNN) model families.
         for task in [tiny_task(), suite::cifar10_like(4, 2, 3)] {
             let global = global_of(&task, 1);
-            set_model_reuse(false);
-            let fresh = train_client(&task, 1, &global, &cfg(), 2, 5, true);
-            set_model_reuse(true);
+            // Oracle: a freshly built model per dispatch.
+            let mut model = task.model.build(cfg().seed);
+            let fresh = run_local_epochs(model.as_mut(), &task, 1, &global, &cfg(), 2, 5, true);
             let warm1 = train_client(&task, 1, &global, &cfg(), 2, 5, true);
             // Second reuse pass exercises the cache-hit path.
             let warm2 = train_client(&task, 1, &global, &cfg(), 2, 5, true);
@@ -365,7 +332,6 @@ mod tests {
         // allocations).
         let task = tiny_task();
         let global = global_of(&task, 1);
-        set_model_reuse(true);
         for round in 0..3 {
             let _ = train_client(&task, 1, &global, &cfg(), 2, round, true);
         }

@@ -104,8 +104,8 @@ pub(crate) struct ServerCore {
     /// pool worker without cloning it per dispatch.
     pub cfg: Arc<ExperimentConfig>,
     pub transport: Transport,
-    /// This run's execution context (exec mode + kernel toggles), resolved
-    /// once at run start — never read back from the process globals, so
+    /// This run's execution context (exec mode + kernel switches), resolved
+    /// once at run start — never read back from the process defaults, so
     /// concurrent runs with different contexts cannot cross-talk.
     pub exec: ExecCtx,
     /// `None` exactly while a pipelined evaluation is in flight on the

@@ -14,21 +14,20 @@ use crate::workspace::FileKind;
 /// spawn threads freely.
 pub const GATED_CRATES: &[&str] = &["core", "sim", "tensor", "nn", "compress"];
 
-/// The toggle mutators that [R5] reserves for the sanctioned default-layer
-/// homes: `fedat_core::exec::ToggleGuard` (RAII restore for tests/benches)
-/// and `fedat_core::exec::ExecCtx`, which *reads* the globals these set as
-/// its environment layer and carries the per-run values in a thread-local
-/// overlay instead of mutating process state. Covers every knob the guard
-/// and the overlay snapshot, not just the original four kernel selectors.
-pub const RAW_SETTERS: &[&str] = &[
-    "set_exec_mode",
-    "set_simd_kernel",
-    "set_agg_kernel",
-    "set_nt_kernel",
-    "set_portable_only",
-    "set_max_threads",
-    "set_max_pool_jobs",
-    "set_spawn_mode",
+/// The `fedat_tensor::ctx` functions that install a kernel overlay on the
+/// calling thread. R5 reserves them, in library code, for the files in
+/// [`OVERLAY_HOMES`].
+pub const OVERLAY_INSTALLERS: &[&str] = &["install", "set_overlay"];
+
+/// The sanctioned overlay installers: the overlay's own module, the pool
+/// (which re-installs a submitter's overlay around every job and fork-join
+/// task it runs — the propagation that parallel regions rely on) and
+/// `fedat_core::exec`, whose `ExecCtx::enter` installs a run's resolved
+/// configuration.
+pub const OVERLAY_HOMES: &[&str] = &[
+    "crates/tensor/src/ctx.rs",
+    "crates/tensor/src/pool.rs",
+    "crates/core/src/exec.rs",
 ];
 
 /// Wall-clock and threading APIs banned from library code by [R4].
@@ -220,31 +219,83 @@ fn rule_r4(ctx: &FileContext, lines: &[Line], out: &mut Vec<RawFinding>) {
     }
 }
 
-/// R5: the raw toggle mutators are reserved for the default layer —
-/// `fedat_core::exec::ToggleGuard` (which restores the prior value on every
-/// exit path) and the environment-reading side of `ExecCtx`. Call sites
-/// elsewhere (library *or* test code) must go through a guard, or carry the
-/// per-run configuration in an `ExecCtx` overlay instead of mutating
-/// process-wide state a concurrent run would observe.
+/// R5: library code changes kernel switches only through `ExecCtx`. A
+/// call to `ctx::install`/`set_overlay` outside [`OVERLAY_HOMES`] (and
+/// outside in-file `#[cfg(test)] mod` blocks) would give library code a
+/// second, config-independent way to re-route a run's kernels; runs carry
+/// their switches in their config's `ExecOverrides`, resolved once into an
+/// `ExecCtx` and entered by the experiment driver. Tests, benches and
+/// examples scope overlays freely.
 fn rule_r5(ctx: &FileContext, lines: &[Line], out: &mut Vec<RawFinding>) {
-    if !gated(ctx) || !matches!(ctx.kind, FileKind::Lib | FileKind::Test) {
+    if !gated(ctx) || ctx.kind != FileKind::Lib || OVERLAY_HOMES.contains(&ctx.rel) {
         return;
     }
+    let in_test = test_module_lines(lines);
     for (i, line) in lines.iter().enumerate() {
-        for setter in RAW_SETTERS {
-            if has_call(&line.code, setter) {
+        if in_test[i] {
+            continue;
+        }
+        for name in OVERLAY_INSTALLERS {
+            if has_call(&line.code, name) {
                 out.push(RawFinding {
                     line_idx: i,
                     rule: "R5",
                     message: format!(
-                        "raw `{setter}(..)` call mutates process-wide state; use \
-                         fedat_core::exec::ToggleGuard (restores on every exit path) or \
-                         carry the value in a per-run ExecCtx overlay"
+                        "`{name}(..)` installs a kernel overlay outside ExecCtx; carry the \
+                         setting in the run's ExecOverrides (resolved into an ExecCtx)"
                     ),
                 });
             }
         }
     }
+}
+
+/// Marks the lines of every `#[cfg(test)] mod .. { .. }` block, attribute
+/// line included, by brace matching on the code channel.
+fn test_module_lines(lines: &[Line]) -> Vec<bool> {
+    let mut marked = vec![false; lines.len()];
+    let mut i = 0;
+    while i < lines.len() {
+        if !lines[i].code.trim_start().starts_with("#[cfg(test)]") {
+            i += 1;
+            continue;
+        }
+        let mut j = i + 1;
+        while j < lines.len() && {
+            let c = lines[j].code.trim();
+            c.is_empty() || c.starts_with("#[")
+        } {
+            j += 1;
+        }
+        if j >= lines.len() || !has_token(&lines[j].code, "mod") {
+            i += 1;
+            continue;
+        }
+        let mut depth = 0i64;
+        let mut opened = false;
+        let mut end = j;
+        for (k, line) in lines.iter().enumerate().skip(j) {
+            for c in line.code.chars() {
+                match c {
+                    '{' => {
+                        depth += 1;
+                        opened = true;
+                    }
+                    '}' => depth -= 1,
+                    _ => {}
+                }
+            }
+            end = k;
+            if opened && depth <= 0 {
+                break;
+            }
+        }
+        for m in marked.iter_mut().take(end + 1).skip(i) {
+            *m = true;
+        }
+        i = end + 1;
+    }
+    marked
 }
 
 /// R6: config structs in the serde-facing config files — the experiment

@@ -363,15 +363,15 @@ mod tests {
 
     #[test]
     fn call_matching_skips_definitions_and_bare_paths() {
-        assert!(has_call("exec::set_exec_mode(mode);", "set_exec_mode"));
+        assert!(has_call("let _g = ctx::set_overlay(prev);", "set_overlay"));
         assert!(!has_call(
-            "pub fn set_exec_mode(mode: ExecMode) {",
-            "set_exec_mode"
+            "pub fn set_overlay(overlay: Option<KernelCtx>) -> OverlayGuard {",
+            "set_overlay"
         ));
         assert!(!has_call(
-            "use exec::{set_exec_mode, exec_mode};",
-            "set_exec_mode"
+            "use fedat_tensor::ctx::{set_overlay, snapshot};",
+            "set_overlay"
         ));
-        assert!(!has_call("my_set_exec_mode(x)", "set_exec_mode"));
+        assert!(!has_call("my_set_overlay(x)", "set_overlay"));
     }
 }

@@ -5,7 +5,7 @@ use std::path::{Path, PathBuf};
 
 /// What kind of target a source file belongs to. Rules scope themselves to
 /// kinds: library code carries the bit-identity contract, test code may
-/// exercise toggles through guards, benches are out of contract entirely.
+/// scope kernel overlays freely, benches are out of contract entirely.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FileKind {
     /// `src/**` — library code shipped to every consumer.

@@ -1,15 +1,23 @@
-//! R5 fixture: toggles flow through the RAII guard; importing a setter or
-//! defining one is fine — only raw *calls* are flagged.
-use fedat_core::exec::ToggleGuard;
-use fedat_tensor::simd::{set_simd_kernel, SimdKernel};
+//! R5 fixture: runs enter their ExecCtx; importing or defining an
+//! installer and scoping overlays in the file's test module are fine.
+use fedat_core::exec::ExecCtx;
+use fedat_tensor::ctx::{install, KernelCtx};
 
-pub fn set_exec_mode(_mode: u8) {
-    // a same-named local definition is not a raw call
+pub fn run(cfg: &ExperimentConfig) {
+    let exec = ExecCtx::resolve(cfg);
+    let _overlay = exec.enter();
 }
 
-#[test]
-fn scalar_matches_auto() {
-    let mut g = ToggleGuard::new();
-    g.simd(SimdKernel::Scalar);
-    // guard drop restores the prior kernel on every exit path
+pub fn set_overlay(_name: &str) {
+    // a same-named local definition is not a call
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scalar_matches_auto() {
+        let _k = install(KernelCtx { ..fedat_tensor::ctx::snapshot() });
+    }
 }

@@ -1,8 +1,8 @@
-//! R5 fixture: the setter's own test suite may call it raw, with a reason.
-use fedat_tensor::simd::{set_simd_kernel, SimdKernel};
+//! R5 fixture: an audited library-side overlay, with a reason.
+use fedat_tensor::ctx::{self, KernelCtx};
 
-#[test]
-fn raw_setter_round_trips() {
-    // lint: allow(R5, reason = "fixture: this test exercises the raw setter itself")
-    set_simd_kernel(SimdKernel::Auto);
+pub fn evaluate_serially(f: impl FnOnce()) {
+    // lint: allow(R5, reason = "fixture: an audited override of the run's thread cap")
+    let _k = ctx::install(KernelCtx { max_threads: 1, ..ctx::snapshot() });
+    f();
 }

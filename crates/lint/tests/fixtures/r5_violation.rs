@@ -1,9 +1,13 @@
-//! R5 fixture: raw toggle mutators leak state into later tests.
-use fedat_tensor::simd::{set_simd_kernel, SimdKernel};
+//! R5 fixture: library code re-routing kernels behind its run's back.
+use fedat_tensor::ctx::{self, KernelCtx};
+use fedat_tensor::simd::SimdKernel;
 
-#[test]
-fn scalar_matches_auto() {
-    set_simd_kernel(SimdKernel::Scalar);
-    // ... if the assertion below panics, the toggle never resets ...
-    set_simd_kernel(SimdKernel::Auto);
+pub fn train_scalar(f: impl FnOnce()) {
+    let _k = ctx::install(KernelCtx { simd: SimdKernel::Scalar, ..ctx::snapshot() });
+    f();
+}
+
+pub fn run_on_defaults(f: impl FnOnce()) {
+    let _k = fedat_tensor::ctx::set_overlay(None);
+    f();
 }

@@ -1,26 +1,35 @@
-//! Per-thread kernel-configuration overlay — the mechanism behind per-run
-//! execution contexts.
+//! Per-thread kernel configuration — the one carrier of this crate's
+//! execution switches.
 //!
-//! Every kernel toggle in this crate ([`simd::SimdKernel`], the
-//! portable-only override, [`ops::NtKernel`], [`ops::AggKernel`], the
-//! [`parallel`] thread cap and spawn mode, and the [`pool`] job cap) is a
-//! process-wide atomic. That is the right *default layer* — env overrides
-//! and `ToggleGuard`-style test scoping live there — but it makes two
-//! concurrent experiment runs read each other's settings. The fix is this
-//! overlay: an optional [`KernelCtx`] stored in a thread-local that every
-//! toggle *getter* consults before falling back to the process global.
+//! Four switches select how kernels run: the SIMD backend
+//! ([`simd::SimdKernel`]), the portable-only override, the per-kernel
+//! [`parallel`] thread cap and the [`pool`] job cap. Their *process
+//! default* is read-only: `FEDAT_SIMD` is read once, everything else is a
+//! constant. Code that needs different values installs a [`KernelCtx`] as
+//! this thread's overlay for a scope ([`install`]); every getter consults
+//! the overlay before falling back to the default. A run carries its
+//! configuration this way (`fedat_core::exec::ExecCtx::enter`), so two
+//! concurrent runs never read each other's settings; tests and benches
+//! without a run config scope a change the same way:
+//!
+//! ```
+//! use fedat_tensor::ctx::{self, KernelCtx};
+//! use fedat_tensor::simd::SimdKernel;
+//!
+//! let _k = ctx::install(KernelCtx { simd: SimdKernel::Scalar, ..ctx::snapshot() });
+//! assert_eq!(fedat_tensor::simd::simd_kernel(), SimdKernel::Scalar);
+//! ```
 //!
 //! ## Propagation
 //!
 //! The overlay is thread-local, so it must travel with work that hops
-//! threads. All three thread-crossing paths in this crate propagate it
+//! threads. Both thread-crossing paths in this crate propagate it
 //! automatically, capturing the submitter's overlay at publication time and
 //! installing it around execution (worker-side *and* steal-on-join):
 //!
 //! * [`pool::submit`] — the runner closure carries the overlay,
 //! * [`pool::run_tasks`] — the batch carries it; every claiming thread
-//!   (workers and the participating caller) installs it in `Batch::work`,
-//! * [`parallel`]'s scoped-spawn baseline — each scoped thread installs it.
+//!   (workers and the participating caller) installs it in `Batch::work`.
 //!
 //! A `None` overlay propagates too: work submitted from a thread running
 //! on process defaults runs on process defaults wherever it executes, even
@@ -33,29 +42,44 @@
 //! construction, so installing or dropping one can never change a result —
 //! it changes which (equivalent) code path computes it, and how many
 //! threads help.
+//!
+//! [`simd::SimdKernel`]: crate::simd::SimdKernel
+//! [`parallel`]: crate::parallel
+//! [`pool`]: crate::pool
+//! [`pool::submit`]: crate::pool::submit
+//! [`pool::run_tasks`]: crate::pool::run_tasks
 
-use crate::ops::{AggKernel, NtKernel};
-use crate::parallel::SpawnMode;
 use crate::simd::SimdKernel;
 use std::cell::Cell;
+use std::sync::OnceLock;
 
-/// A complete per-run snapshot of every kernel toggle in this crate.
+/// A complete snapshot of every kernel switch in this crate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KernelCtx {
     /// SIMD backend selection ([`crate::simd::simd_kernel`]).
     pub simd: SimdKernel,
     /// Portable-fallback override ([`crate::simd::portable_only`]).
     pub portable_only: bool,
-    /// `A·Bᵀ` formulation ([`crate::ops::nt_kernel`]).
-    pub nt: NtKernel,
-    /// Aggregation formulation ([`crate::ops::agg_kernel`]).
-    pub agg: AggKernel,
     /// Per-kernel thread cap ([`crate::parallel::max_threads`]); ≥ 1.
     pub max_threads: usize,
-    /// Parallel-region execution mode ([`crate::parallel::spawn_mode`]).
-    pub spawn: SpawnMode,
     /// Pool-resident submitted-job cap ([`crate::pool::max_pool_jobs`]).
     pub max_pool_jobs: usize,
+}
+
+/// The read-only process default: `Auto` SIMD unless `FEDAT_SIMD=scalar`
+/// (read once, on first use), the ISA path allowed, serial kernels (the
+/// simulator parallelizes across clients instead) and an uncapped pool.
+fn process_default() -> KernelCtx {
+    static DEFAULT: OnceLock<KernelCtx> = OnceLock::new();
+    *DEFAULT.get_or_init(|| KernelCtx {
+        simd: match std::env::var("FEDAT_SIMD").as_deref() {
+            Ok(s) if s.eq_ignore_ascii_case("scalar") => SimdKernel::Scalar,
+            _ => SimdKernel::Auto,
+        },
+        portable_only: false,
+        max_threads: 1,
+        max_pool_jobs: usize::MAX,
+    })
 }
 
 thread_local! {
@@ -69,19 +93,11 @@ pub fn current() -> Option<KernelCtx> {
 }
 
 /// The effective kernel configuration on this thread: the overlay when one
-/// is installed, the process defaults otherwise. (The defaults read the
-/// same lazily-env-initialized globals the toggle setters write, so a
-/// snapshot taken before any override sees `FEDAT_SIMD` et al.)
+/// is installed, the read-only process default otherwise (`Auto` SIMD
+/// unless `FEDAT_SIMD=scalar`, the ISA path allowed, one kernel thread, an
+/// uncapped pool).
 pub fn snapshot() -> KernelCtx {
-    KernelCtx {
-        simd: crate::simd::simd_kernel(),
-        portable_only: crate::simd::portable_only(),
-        nt: crate::ops::nt_kernel(),
-        agg: crate::ops::agg_kernel(),
-        max_threads: crate::parallel::max_threads(),
-        spawn: crate::parallel::spawn_mode(),
-        max_pool_jobs: crate::pool::max_pool_jobs(),
-    }
+    current().unwrap_or_else(process_default)
 }
 
 /// Installs `overlay` (including `None`, which *clears* any overlay) on
@@ -99,6 +115,7 @@ pub fn install(ctx: KernelCtx) -> OverlayGuard {
 }
 
 /// RAII restore for [`set_overlay`]/[`install`].
+#[must_use = "the overlay is removed when the guard drops"]
 pub struct OverlayGuard {
     prev: Option<KernelCtx>,
 }
@@ -117,10 +134,7 @@ mod tests {
         KernelCtx {
             simd: SimdKernel::Scalar,
             portable_only: true,
-            nt: NtKernel::DotProduct,
-            agg: AggKernel::FusedSerial,
             max_threads: 3,
-            spawn: SpawnMode::PersistentPool,
             max_pool_jobs: 2,
         }
     }
@@ -140,6 +154,7 @@ mod tests {
             assert_eq!(current(), Some(sample()));
         }
         assert_eq!(current(), None);
+        assert_eq!(snapshot(), process_default());
     }
 
     #[test]
@@ -153,14 +168,12 @@ mod tests {
     }
 
     #[test]
-    fn overlay_wins_over_globals_in_getters() {
-        // The getters must consult the overlay before the process globals.
+    fn overlay_wins_over_defaults_in_getters() {
+        // The getters must consult the overlay before the process default.
         let ctx = sample();
         let _g = install(ctx);
         assert_eq!(crate::simd::simd_kernel(), SimdKernel::Scalar);
         assert!(crate::simd::portable_only());
-        assert_eq!(crate::ops::nt_kernel(), NtKernel::DotProduct);
-        assert_eq!(crate::ops::agg_kernel(), AggKernel::FusedSerial);
         assert_eq!(crate::parallel::max_threads(), 3);
         assert_eq!(crate::pool::max_pool_jobs(), 2);
     }

@@ -1,17 +1,16 @@
 //! Property tests for the persistent kernel pool: every parallel kernel
-//! must be bit-identical to its serial execution for any thread count, in
-//! both spawn modes.
+//! must be bit-identical to its serial execution for any thread count.
 //!
-//! The thread cap is a process-global, so tests in this binary may race on
-//! it — harmless by construction: thread-count invariance is exactly the
-//! property under test, so concurrent cap changes cannot alter any result.
+//! Each case scopes its thread or job cap with a thread-local
+//! [`KernelCtx`] overlay, so concurrently running tests never see each
+//! other's caps.
 
-use fedat_core::exec::ToggleGuard;
 use fedat_tensor::conv::{conv2d_forward, Conv2dSpec};
+use fedat_tensor::ctx::{self, KernelCtx};
 use fedat_tensor::ops::{
-    matmul_into, matmul_nt_into, matmul_tn_into, weighted_sum_into, AggKernel, AGG_SHARD,
+    matmul_into, matmul_nt_into, matmul_tn_into, weighted_sum_into, AGG_SHARD,
 };
-use fedat_tensor::parallel::{self, SpawnMode};
+use fedat_tensor::parallel;
 use fedat_tensor::pool;
 use fedat_tensor::rng::rng_for;
 use fedat_tensor::Tensor;
@@ -26,20 +25,31 @@ fn filled(len: usize, seed: u64) -> Vec<f32> {
     v
 }
 
+/// Runs `f` on this thread with the kernel thread cap set to `threads`.
+fn at_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    let _k = ctx::install(KernelCtx {
+        max_threads: threads,
+        ..ctx::snapshot()
+    });
+    f()
+}
+
 /// Runs `kernel` (which writes its output into a fresh zeroed buffer) at
 /// thread cap 1 and at each sweep cap, asserting bitwise equality.
 fn assert_thread_invariant(
     out_len: usize,
     kernel: impl Fn(&mut [f32]),
 ) -> Result<(), TestCaseError> {
-    let mut g = ToggleGuard::new();
-    g.max_threads(1);
-    let mut serial = vec![0.0f32; out_len];
-    kernel(&mut serial);
+    let run = |threads| {
+        at_threads(threads, || {
+            let mut out = vec![0.0f32; out_len];
+            kernel(&mut out);
+            out
+        })
+    };
+    let serial = run(1);
     for &t in &THREAD_SWEEP[1..] {
-        g.max_threads(t);
-        let mut par = vec![0.0f32; out_len];
-        kernel(&mut par);
+        let par = run(t);
         prop_assert_eq!(
             &serial,
             &par,
@@ -88,12 +98,10 @@ proptest! {
         let weight = Tensor::from_vec(filled(cout * cin * 9, seed ^ 4), &[cout, cin * 9]);
         let bias = Tensor::from_vec(filled(cout, seed ^ 5), &[cout]);
 
-        let mut g = ToggleGuard::new();
-        g.max_threads(1);
-        let (serial, _) = conv2d_forward(&input, &weight, &bias, h, w, &spec);
+        let conv = || conv2d_forward(&input, &weight, &bias, h, w, &spec).0;
+        let serial = at_threads(1, conv);
         for &t in &THREAD_SWEEP[1..] {
-            g.max_threads(t);
-            let (par, _) = conv2d_forward(&input, &weight, &bias, h, w, &spec);
+            let par = at_threads(t, conv);
             prop_assert_eq!(serial.data(), par.data(), "conv diverged at {} threads", t);
         }
     }
@@ -105,7 +113,7 @@ proptest! {
         seed in 0u64..1000
     ) {
         // The server-aggregation primitive: the sharded kernel at every
-        // swept thread count must match the fused serial baseline bitwise.
+        // swept thread count must match the fused serial pass bitwise.
         let inputs: Vec<Vec<f32>> = (0..n_inputs)
             .map(|j| filled(dim, seed ^ (j as u64) << 10))
             .collect();
@@ -113,15 +121,19 @@ proptest! {
         let weights: Vec<f32> = (0..n_inputs)
             .map(|j| (j + 1) as f32 / (n_inputs * (n_inputs + 1) / 2) as f32)
             .collect();
-        let mut g = ToggleGuard::new();
-        g.agg(AggKernel::FusedSerial).max_threads(1);
-        let mut serial = vec![0.0f32; dim];
-        weighted_sum_into(&refs, &weights, &mut serial);
-        g.agg(AggKernel::ShardedAxpy);
+        // Oracle: one fused per-element pass over all inputs.
+        let serial: Vec<f32> = (0..dim)
+            .map(|i| {
+                let mut acc = 0.0f32;
+                for (input, &w) in refs.iter().zip(weights.iter()) {
+                    acc += w * input[i];
+                }
+                acc
+            })
+            .collect();
         for &t in &THREAD_SWEEP {
-            g.max_threads(t);
             let mut sharded = vec![0.0f32; dim];
-            weighted_sum_into(&refs, &weights, &mut sharded);
+            at_threads(t, || weighted_sum_into(&refs, &weights, &mut sharded));
             prop_assert_eq!(
                 &serial,
                 &sharded,
@@ -173,8 +185,10 @@ proptest! {
             expected(i)
         };
         for &workers in &THREAD_SWEEP {
-            let mut g = ToggleGuard::new();
-            g.max_pool_jobs(workers - 1);
+            let k = ctx::install(KernelCtx {
+                max_pool_jobs: workers - 1,
+                ..ctx::snapshot()
+            });
             let mut deferred: Vec<(usize, pool::JobHandle<u64>)> = Vec::new();
             let mut results: Vec<(usize, u64)> = Vec::new();
             for (i, &join_immediately) in join_now.iter().enumerate().take(n_jobs) {
@@ -200,7 +214,7 @@ proptest! {
             for (i, h) in deferred.into_iter().rev() {
                 results.push((i, h.join()));
             }
-            drop(g);
+            drop(k);
             prop_assert_eq!(results.len(), n_jobs);
             for (i, got) in results {
                 prop_assert_eq!(
@@ -212,22 +226,5 @@ proptest! {
                 );
             }
         }
-    }
-
-    #[test]
-    fn scoped_spawn_matches_pool_for_all_variants(
-        m in 1usize..32, k in 1usize..24, n in 1usize..32, seed in 0u64..1000
-    ) {
-        let a = filled(m * k, seed);
-        let b = filled(k * n, seed ^ 6);
-        let mut g = ToggleGuard::new();
-        g.max_threads(8).spawn_mode(SpawnMode::PersistentPool);
-        let mut pooled = vec![0.0f32; m * n];
-        matmul_into(&a, &b, &mut pooled, m, k, n);
-        g.spawn_mode(SpawnMode::ScopedSpawn);
-        let mut scoped = vec![0.0f32; m * n];
-        matmul_into(&a, &b, &mut scoped, m, k, n);
-        drop(g);
-        prop_assert_eq!(pooled, scoped);
     }
 }

@@ -5,8 +5,8 @@
 //!
 //! By default runs a 100-client slice so it finishes in well under a
 //! minute; pass `--full` for the 500-client version. Either way the run is
-//! bit-identical to a serial server — pass `--serial` to check (and to
-//! feel the difference).
+//! bit-identical to a serial server — pass `--serial` to run the server
+//! kernels on one thread and check (and to feel the difference).
 //!
 //! ```text
 //! cargo run --release --example large_cohort [-- --full] [-- --serial]
@@ -17,10 +17,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use fedat::core::prelude::*;
-use fedat::nn::metrics::set_pooled_eval;
 use fedat::sim::fleet::ClusterConfig;
-use fedat::tensor::ops::{set_agg_kernel, AggKernel};
-use fedat::tensor::parallel;
 use fedat_bench::experiments::large_cohort_task;
 
 fn main() {
@@ -29,16 +26,13 @@ fn main() {
     let clients = if full { 500 } else { 100 };
     let rounds = if full { 120 } else { 40 };
 
-    // The serial toggles restore the pre-sharding server path; results are
-    // bit-identical either way (see `BENCH_aggregate.json` for the speed).
-    set_agg_kernel(if serial {
-        AggKernel::FusedSerial
+    // Let the server-side kernels fan out across the host, or keep them on
+    // one thread; results are bit-identical either way.
+    let kernel_threads = if serial {
+        1
     } else {
-        AggKernel::ShardedAxpy
-    });
-    set_pooled_eval(!serial);
-    // Let the server-side kernels fan out across the host.
-    parallel::set_max_threads(if serial { 1 } else { 0 });
+        std::thread::available_parallelism().map_or(1, |c| c.get())
+    };
 
     let task = large_cohort_task(clients, 21);
     println!(
@@ -61,6 +55,7 @@ fn main() {
         .eval_subset(512)
         .seed(21)
         .cluster(cluster)
+        .max_threads(kernel_threads)
         .build();
 
     let started = std::time::Instant::now();
@@ -79,9 +74,5 @@ fn main() {
         outcome.per_client_accuracy.len(),
         outcome.accuracy_variance
     );
-    println!(
-        "server path: {:?} aggregation, pooled eval = {}",
-        fedat::tensor::ops::agg_kernel(),
-        !serial
-    );
+    println!("server path: kernels on up to {kernel_threads} thread(s)");
 }

@@ -3,7 +3,7 @@
 //! Demonstrates the speculative client executor outside the bench harness:
 //! the same FedAT run is executed twice — once with training launched at
 //! dispatch on the kernel pool (`ExecMode::Speculative`, the default) and
-//! once with the seed's train-at-completion (`ExecMode::Inline`) — and the
+//! once with train-at-completion (`ExecMode::Inline`) — and the
 //! wall-clock ratio is printed together with proof that the two produced
 //! bit-identical results. The win scales with physical cores: the
 //! event-loop thread joins finished results while pool workers train the
@@ -22,10 +22,10 @@
 // R4 clippy mirror (docs/LINTS.md) does not apply here.
 #![allow(clippy::disallowed_methods)]
 
-use fedat::core::exec::{set_exec_mode, speculative_discards, speculative_launches, ExecMode};
+use fedat::core::exec::{speculative_discards, speculative_launches, ExecMode};
 use fedat::core::prelude::*;
 use fedat::sim::fleet::ClusterConfig;
-use fedat::tensor::{parallel, pool};
+use fedat::tensor::pool;
 use fedat_bench::experiments::large_cohort_task;
 
 fn main() {
@@ -39,15 +39,11 @@ fn main() {
     let clients = if full { 500 } else { 100 };
     let rounds = if full { 60 } else { 40 };
 
-    // Client-level task parallelism is the lever on display: keep each
-    // client's inner kernels serial so the two runs differ only in *where*
-    // whole training jobs execute.
-    parallel::set_max_threads(1);
-    if let Some(w) = workers.filter(|&w| w > 0) {
-        // Same convention as the bench sweep: "W workers" = the event-loop
-        // thread + W − 1 pool helpers.
-        pool::ensure_workers(w - 1);
-        pool::set_max_pool_jobs(w - 1);
+    // Same convention as the bench sweep: "W workers" = the event-loop
+    // thread + W − 1 pool helpers.
+    let job_cap = workers.filter(|&w| w > 0).map(|w| w - 1);
+    if let Some(helpers) = job_cap {
+        pool::ensure_workers(helpers);
     }
     let cores = std::thread::available_parallelism()
         .map(|c| c.get())
@@ -55,16 +51,13 @@ fn main() {
     println!(
         "host: {cores} core(s), {} pool worker(s), pool-job cap {}",
         pool::worker_count(),
-        match pool::max_pool_jobs() {
-            usize::MAX => "uncapped".to_string(),
-            n => n.to_string(),
-        }
+        job_cap.map_or("uncapped".to_string(), |n| n.to_string())
     );
 
     let task = large_cohort_task(clients, 21);
     let mut cluster = ClusterConfig::paper_large(21).with_clients(clients);
     cluster.n_unstable = cluster.n_unstable.min(clients / 10);
-    let cfg = ExperimentConfig::builder()
+    let mut cfg = ExperimentConfig::builder()
         .strategy(StrategyKind::FedAt)
         .rounds(rounds)
         .clients_per_round(10)
@@ -73,10 +66,16 @@ fn main() {
         .eval_subset(256)
         .seed(21)
         .cluster(cluster)
+        // Client-level task parallelism is the lever on display: keep each
+        // client's inner kernels serial so the two runs differ only in
+        // *where* whole training jobs execute.
+        .max_threads(1)
         .build();
+    cfg.exec.max_pool_jobs = job_cap;
 
     let timed = |mode: ExecMode| {
-        set_exec_mode(mode);
+        let mut cfg = cfg.clone();
+        cfg.exec.mode = Some(mode);
         let started = std::time::Instant::now();
         let out = run_experiment(&task, &cfg);
         // Jobs abandoned at the rounds cutoff are this run's cost; drain
