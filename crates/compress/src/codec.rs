@@ -83,8 +83,9 @@ impl std::error::Error for CodecError {}
 ///
 /// [`CompressedBlob::wire_bytes`] is what the simulator's traffic meter
 /// charges to the network: payload + a small fixed header (codec id,
-/// precision, value count — the "dimensions of the weights" sideband from
-/// paper §4.3 is charged by the archive layer).
+/// precision, value count). Both ends build the model from the same
+/// `ModelSpec`, so the per-layer dimensions of paper §4.3 never travel:
+/// the value count is the whole shape sideband.
 #[derive(Clone, Debug)]
 pub struct CompressedBlob {
     /// Encoded payload.

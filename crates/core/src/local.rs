@@ -1,7 +1,7 @@
 //! Client-side local training (Algorithm 2 inner loop).
 //!
 //! This is the hottest path in the whole system: every simulated dispatch
-//! of every strategy funnels through [`train_client`]. Three things keep it
+//! of every strategy funnels through [`train_client`]. Four things keep it
 //! cheap:
 //!
 //! * **Model reuse** — simulated clients are stateless between rounds, so
@@ -285,6 +285,69 @@ mod tests {
             assert_eq!(fresh.weights, warm1.weights, "{}", task.name);
             assert_eq!(warm1.weights, warm2.weights, "{}", task.name);
             assert_eq!(fresh.mean_loss, warm2.mean_loss, "{}", task.name);
+        }
+    }
+
+    #[test]
+    fn parameter_only_backward_matches_full_backward_exactly() {
+        // A model's first layer runs `backward_params`, which skips the
+        // input gradient; its parameter gradients must be the bits the full
+        // `backward` accumulates — for the dense and conv first layers of
+        // the two families above, on their tasks' real batches and a
+        // post-ReLU (sparse) upstream gradient, over two accumulating steps.
+        use fedat_nn::layer::{Layer, Mode};
+        use fedat_nn::layers::{Conv2d, Dense};
+        use fedat_nn::models::ModelSpec;
+        use fedat_tensor::conv::Conv2dSpec;
+        use fedat_tensor::Tensor;
+
+        let conv_spec = Conv2dSpec {
+            in_channels: 3,
+            out_channels: 16,
+            kernel: 3,
+            stride: 1,
+            padding: 1,
+        };
+        for task in [tiny_task(), suite::cifar10_like(4, 2, 3)] {
+            let data = &task.fed.clients[1].train;
+            let rows: Vec<usize> = (0..data.len().min(10)).collect();
+            let build = || -> Box<dyn Layer> {
+                let mut rng = rng_for(11, 1);
+                match task.model {
+                    ModelSpec::CnnLite { height, width, .. } => {
+                        Box::new(Conv2d::new(&mut rng, conv_spec, height, width))
+                    }
+                    _ => Box::new(Dense::new(&mut rng, data.features(), 7)),
+                }
+            };
+            let (mut full, mut params_only) = (build(), build());
+            let mut grad_rng = rng_for(12, 1);
+            for _ in 0..2 {
+                let mut y = Vec::new();
+                let x = data.gather_batch_into(&rows, &mut y);
+                let out = full.forward_ref(&x, Mode::Train);
+                let out2 = params_only.forward_ref(&x, Mode::Train);
+                assert_eq!(out.data(), out2.data(), "{}", task.name);
+                let mut g = Tensor::randn(&mut grad_rng, out.dims(), 0.0, 1.0);
+                fedat_tensor::simd::relu(g.data_mut());
+                full.backward(g.clone()).recycle();
+                params_only.backward_params(g);
+                x.recycle();
+            }
+            let grad_bits = |layer: &dyn Layer| -> Vec<Vec<u32>> {
+                layer
+                    .params()
+                    .iter()
+                    .map(|p| p.grad.data().iter().map(|v| v.to_bits()).collect())
+                    .collect()
+            };
+            assert_eq!(
+                grad_bits(full.as_ref()),
+                grad_bits(params_only.as_ref()),
+                "{} ({})",
+                task.name,
+                full.name()
+            );
         }
     }
 

@@ -38,6 +38,16 @@ pub trait Layer: Send {
     /// returning the gradient with respect to the layer input.
     fn backward(&mut self, grad_out: Tensor) -> Tensor;
 
+    /// [`Layer::backward`] without the input gradient: accumulates the same
+    /// parameter gradients, bit for bit, and returns nothing. This is what
+    /// [`crate::model::Sequential`] runs on its first layer, whose input
+    /// gradient has no consumer. The default computes the input gradient
+    /// and recycles it; layers where it costs a GEMM (Dense, Conv2d) skip
+    /// that step behind a flag in their one backward body.
+    fn backward_params(&mut self, grad_out: Tensor) {
+        self.backward(grad_out).recycle();
+    }
+
     /// Immutable access to the parameters, in a fixed deterministic order.
     fn params(&self) -> Vec<&Param>;
 

@@ -45,6 +45,28 @@ impl Dense {
     pub fn out_dim(&self) -> usize {
         self.w.value.dims()[1]
     }
+
+    /// The backward body: parameter gradients always, `dX = dY · Wᵀ` only
+    /// when `input_grad` is set.
+    fn backward_with(&mut self, grad_out: Tensor, input_grad: bool) -> Option<Tensor> {
+        let x = self
+            .cached_input
+            .take()
+            .expect("Dense::backward called without a Train forward");
+        // dW += xᵀ · dY
+        let dw = x.matmul_tn(&grad_out);
+        x.recycle();
+        self.w.grad.axpy_inplace(1.0, &dw);
+        dw.recycle();
+        // db += column sums of dY
+        let db = grad_out.sum_rows();
+        self.b.grad.axpy_inplace(1.0, &db);
+        db.recycle();
+        // dX = dY · Wᵀ
+        let dx = input_grad.then(|| grad_out.matmul_nt(&self.w.value));
+        grad_out.recycle();
+        dx
+    }
 }
 
 impl Layer for Dense {
@@ -71,23 +93,12 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: Tensor) -> Tensor {
-        let x = self
-            .cached_input
-            .take()
-            .expect("Dense::backward called without a Train forward");
-        // dW += xᵀ · dY
-        let dw = x.matmul_tn(&grad_out);
-        x.recycle();
-        self.w.grad.axpy_inplace(1.0, &dw);
-        dw.recycle();
-        // db += column sums of dY
-        let db = grad_out.sum_rows();
-        self.b.grad.axpy_inplace(1.0, &db);
-        db.recycle();
-        // dX = dY · Wᵀ
-        let dx = grad_out.matmul_nt(&self.w.value);
-        grad_out.recycle();
-        dx
+        self.backward_with(grad_out, true)
+            .expect("input gradient was requested")
+    }
+
+    fn backward_params(&mut self, grad_out: Tensor) {
+        self.backward_with(grad_out, false);
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -533,6 +544,32 @@ impl Conv2d {
         let (oh, ow) = self.spec.out_hw(self.h, self.w);
         self.spec.out_channels * oh * ow
     }
+
+    /// The backward body: parameter gradients always, the input gradient
+    /// (`Wᵀ · dY` and `col2im`) only when `input_grad` is set.
+    fn backward_with(&mut self, grad_out: Tensor, input_grad: bool) -> Option<Tensor> {
+        let ConvCache { cols, batch } = self
+            .cache
+            .take()
+            .expect("Conv2d::backward without Train forward");
+        let (oh, ow) = self.spec.out_hw(self.h, self.w);
+        let dy = grad_out.reshape(&[batch, self.spec.out_channels, oh, ow]);
+        let (dx, dw, db) = conv2d_backward(
+            &dy,
+            &self.weight.value,
+            cols,
+            self.h,
+            self.w,
+            &self.spec,
+            input_grad,
+        );
+        dy.recycle();
+        self.weight.grad.axpy_inplace(1.0, &dw);
+        self.bias.grad.axpy_inplace(1.0, &db);
+        dw.recycle();
+        db.recycle();
+        dx.map(|dx| dx.reshape(&[batch, self.spec.in_channels * self.h * self.w]))
+    }
 }
 
 impl Layer for Conv2d {
@@ -571,20 +608,12 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: Tensor) -> Tensor {
-        let ConvCache { cols, batch } = self
-            .cache
-            .take()
-            .expect("Conv2d::backward without Train forward");
-        let (oh, ow) = self.spec.out_hw(self.h, self.w);
-        let dy = grad_out.reshape(&[batch, self.spec.out_channels, oh, ow]);
-        let (dx, dw, db) =
-            conv2d_backward(&dy, &self.weight.value, cols, self.h, self.w, &self.spec);
-        dy.recycle();
-        self.weight.grad.axpy_inplace(1.0, &dw);
-        self.bias.grad.axpy_inplace(1.0, &db);
-        dw.recycle();
-        db.recycle();
-        dx.reshape(&[batch, self.spec.in_channels * self.h * self.w])
+        self.backward_with(grad_out, true)
+            .expect("input gradient was requested")
+    }
+
+    fn backward_params(&mut self, grad_out: Tensor) {
+        self.backward_with(grad_out, false);
     }
 
     fn params(&self) -> Vec<&Param> {

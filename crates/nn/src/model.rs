@@ -144,14 +144,6 @@ impl Sequential {
         acc
     }
 
-    /// Runs a full backward pass (after a `Train` forward).
-    pub fn backward(&mut self, grad: Tensor) -> Tensor {
-        self.layers
-            .iter_mut()
-            .rev()
-            .fold(grad, |acc, layer| layer.backward(acc))
-    }
-
     /// Clears all gradients.
     pub fn zero_grad(&mut self) {
         for layer in &mut self.layers {
@@ -196,8 +188,17 @@ impl Model for Sequential {
         let logits = self.forward(x, Mode::Train);
         let (loss, d_logits) = softmax_cross_entropy(&logits, y);
         logits.recycle();
-        let dx = self.backward(d_logits);
-        dx.recycle();
+        // Nothing consumes the first layer's input gradient, so it runs the
+        // parameter-only backward.
+        let (first, rest) = self
+            .layers
+            .split_first_mut()
+            .expect("Sequential has at least one layer");
+        let grad = rest
+            .iter_mut()
+            .rev()
+            .fold(d_logits, |acc, layer| layer.backward(acc));
+        first.backward_params(grad);
         let mut params = self.all_params_mut();
         if let Some(p) = prox {
             p.apply(&mut params);

@@ -155,7 +155,11 @@ pub fn conv2d_forward(
     (out, saved_cols)
 }
 
-/// Backward convolution. Returns `(d_input, d_weight, d_bias)`.
+/// Backward convolution. Returns `(d_input, d_weight, d_bias)`, with
+/// `d_input` computed only when `input_grad` is set: a network's first
+/// layer has no consumer for it, and skipping it drops the `Wᵀ·dY` GEMM
+/// and the `col2im` fold. The parameter gradients are the same bits either
+/// way.
 ///
 /// Consumes the per-sample column matrices saved by [`conv2d_forward`] and
 /// recycles their storage into the scratch arena.
@@ -166,7 +170,8 @@ pub fn conv2d_backward(
     h: usize,
     w: usize,
     spec: &Conv2dSpec,
-) -> (Tensor, Tensor, Tensor) {
+    input_grad: bool,
+) -> (Option<Tensor>, Tensor, Tensor) {
     let n = d_out.dims()[0];
     let cin = spec.in_channels;
     let cout = spec.out_channels;
@@ -177,7 +182,7 @@ pub fn conv2d_backward(
     assert_eq!(d_out.len(), n * cout * col_cols, "conv d_out size mismatch");
     assert_eq!(saved_cols.len(), n, "saved_cols batch mismatch");
 
-    let mut d_input = Tensor::zeros_scratch(&[n, cin, h, w]);
+    let mut d_input = input_grad.then(|| Tensor::zeros_scratch(&[n, cin, h, w]));
     let mut d_weight = Tensor::zeros_scratch(&[cout, col_rows]);
     let mut d_bias = Tensor::zeros_scratch(&[cout]);
 
@@ -189,13 +194,15 @@ pub fn conv2d_backward(
         for (co, plane) in dy.chunks(col_cols).enumerate() {
             d_bias.data_mut()[co] += plane.iter().sum::<f32>();
         }
-        // dCols = Wᵀ · dY  ([col_rows, col_cols])
-        let mut d_cols = crate::scratch::take_zeroed(col_rows * col_cols);
-        matmul_tn_into(weight.data(), dy, &mut d_cols, col_rows, cout, col_cols);
-        let d_img = &mut d_input.data_mut()[i * cin * h * w..(i + 1) * cin * h * w];
-        col2im(&d_cols, cin, h, w, spec, d_img);
-        crate::scratch::recycle(d_cols);
         crate::scratch::recycle(cols);
+        if let Some(d_input) = d_input.as_mut() {
+            // dCols = Wᵀ · dY  ([col_rows, col_cols])
+            let mut d_cols = crate::scratch::take_zeroed(col_rows * col_cols);
+            matmul_tn_into(weight.data(), dy, &mut d_cols, col_rows, cout, col_cols);
+            let d_img = &mut d_input.data_mut()[i * cin * h * w..(i + 1) * cin * h * w];
+            col2im(&d_cols, cin, h, w, spec, d_img);
+            crate::scratch::recycle(d_cols);
+        }
     }
     (d_input, d_weight, d_bias)
 }
@@ -423,7 +430,7 @@ mod tests {
         // Loss = sum(conv(input)); d_out = ones.
         let (out, cols) = conv2d_forward(&input, &weight, &bias, h, w, &spec);
         let d_out = Tensor::ones(out.dims());
-        let (_, d_w, d_b) = conv2d_backward(&d_out, &weight, cols, h, w, &spec);
+        let (_, d_w, d_b) = conv2d_backward(&d_out, &weight, cols, h, w, &spec, false);
 
         let eps = 1e-3f32;
         for wi in [0usize, 4, 8, 13] {

@@ -41,7 +41,17 @@
 //! * The matmul micro-kernel preserves the reference kernel's
 //!   skip-zero-`A`-element fast path (`if a[i,p] == 0.0 continue`, a win on
 //!   post-ReLU activations): the skip is uniform across an output row, so
-//!   vector lanes and scalar code skip in exactly the same cases.
+//!   vector lanes and scalar code skip in exactly the same cases. The AVX2
+//!   kernel has two forms of it, chosen per band from the zero share of the
+//!   band's `A` elements: the branch, for dense operands (forward weights),
+//!   where it predicts perfectly; and for sparse operands (gradients after
+//!   ReLU and max-pool) a branch-free blend that computes `acc + a·b` and
+//!   keeps the old accumulator where `a == 0`. Both leave the accumulator
+//!   bit for bit where the reference skips — `-0.0`, ±inf and NaN in `B`
+//!   included — so the choice moves only time.
+//! * The last `n % 8` columns run as one masked 8-lane tile
+//!   (`maskload`/`maskstore`; a zero-padded tile on the portable backend):
+//!   each live lane runs the same sequence as a full-tile lane.
 //!
 //! Thread-count invariance is inherited from [`crate::parallel`]: bands and
 //! shards partition output elements, and this module only changes how the
@@ -876,17 +886,29 @@ mod portable {
             j += 8;
         }
         if j < n {
+            // The last `n % 8` columns as one zero-padded 8-lane tile: the
+            // live lanes run the same per-lane sequence as above, the
+            // padding lanes are computed and dropped.
+            let w = n - j;
+            let mut acc = [[0.0f32; 8]; R];
             for r in 0..R {
-                for p in 0..k {
+                acc[r][..w].copy_from_slice(&crows[r * n + j..r * n + n]);
+            }
+            for p in 0..k {
+                let mut bv = [0.0f32; 8];
+                bv[..w].copy_from_slice(&b[p * n + j..p * n + n]);
+                for r in 0..R {
                     let a = lhs.at(i0 + r, p);
                     if a == 0.0 {
                         continue;
                     }
-                    let brow = &b[p * n..(p + 1) * n];
-                    for jj in j..n {
-                        crows[r * n + jj] += a * brow[jj];
+                    for l in 0..8 {
+                        acc[r][l] += a * bv[l];
                     }
                 }
+            }
+            for r in 0..R {
+                crows[r * n + j..r * n + n].copy_from_slice(&acc[r][..w]);
             }
         }
     }
@@ -1449,27 +1471,123 @@ mod avx2 {
         n: usize,
     ) {
         let rows = band.len() / n;
-        let mut r = 0;
-        while r + MR <= rows {
-            rows_tile::<MR>(lhs, b, &mut band[r * n..(r + MR) * n], first_row + r, k, n);
-            r += MR;
-        }
-        while r < rows {
-            rows_tile::<1>(lhs, b, &mut band[r * n..(r + 1) * n], first_row + r, k, n);
-            r += 1;
+        if sparse_band(lhs, first_row, rows, k) {
+            rows_tiles::<true>(lhs, b, band, first_row, k, n);
+        } else {
+            rows_tiles::<false>(lhs, b, band, first_row, k, n);
         }
     }
 
-    /// The register tile: `R` C-rows × 2 vector columns (16 f32 lanes) of
-    /// accumulators held in registers across the whole `k` loop; each `B`
-    /// row load is reused by all `R` rows. Unfused mul+add per lane and the
-    /// per-`(i,p)` zero-skip keep every lane's op sequence identical to the
-    /// scalar reference.
+    /// A band whose `A` elements hold more than one exact zero in
+    /// `SPARSE_SHARE` runs the branch-free zero-skip.
+    const SPARSE_SHARE: usize = 8;
+
+    /// Whether the `A` elements the band reads (rows
+    /// `first_row..first_row + rows`, columns `0..k`) are sparse enough for
+    /// the blend form of the zero-skip. Gradients after ReLU and max-pool
+    /// are mostly zeros, and there the per-element `a == 0` branch
+    /// mispredicts; dense operands (forward weights) keep the branch, which
+    /// then skips nothing and predicts perfectly. Both forms give the same
+    /// bits, so the choice only moves time.
+    // SAFETY: requires AVX2+FMA — only called from `matmul_block`, which
+    // has the same target-feature precondition; the slices it counts are
+    // in range by the extent asserts of the safe `matmul_block` wrapper.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn sparse_band(lhs: &Lhs, first_row: usize, rows: usize, k: usize) -> bool {
+        let zeros = match *lhs {
+            Lhs::RowMajor(a, stride) => (first_row..first_row + rows)
+                .map(|i| count_zeros(&a[i * stride..i * stride + k]))
+                .sum::<usize>(),
+            Lhs::ColMajor(a, stride) => (0..k)
+                .map(|p| count_zeros(&a[p * stride + first_row..p * stride + first_row + rows]))
+                .sum(),
+        };
+        zeros * SPARSE_SHARE > rows * k
+    }
+
+    /// Number of elements of `s` equal to zero (`0.0` or `-0.0`; NaN is
+    /// not), 8 lanes per compare.
+    // SAFETY: requires AVX2+FMA — only called from `sparse_band`, which has
+    // the same target-feature precondition; the vector loads stay within
+    // `s` (`i + 8 <= s.len()`).
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn count_zeros(s: &[f32]) -> usize {
+        let zero = _mm256_setzero_ps();
+        // Per-lane counts: a true compare is all ones, i.e. -1.
+        let mut counts = _mm256_setzero_si256();
+        let mut i = 0;
+        while i + 8 <= s.len() {
+            let eq = _mm256_cmp_ps::<_CMP_EQ_OQ>(_mm256_loadu_ps(s.as_ptr().add(i)), zero);
+            counts = _mm256_sub_epi32(counts, _mm256_castps_si256(eq));
+            i += 8;
+        }
+        let mut lanes = [0u32; 8];
+        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, counts);
+        let tail = s[i..].iter().filter(|&&v| v == 0.0).count();
+        lanes.iter().map(|&c| c as usize).sum::<usize>() + tail
+    }
+
+    /// Runs `MR`-row tiles over the band, then single-row tiles over the
+    /// leftover rows, all in one zero-skip form.
     // SAFETY: requires AVX2+FMA — every call path reaches here through a
     // dispatcher that checked `avx2_available()` first. Pointer arithmetic
     // stays within the slice extents checked by the safe wrappers.
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn rows_tile<const R: usize>(
+    unsafe fn rows_tiles<const SPARSE: bool>(
+        lhs: &Lhs,
+        b: &[f32],
+        band: &mut [f32],
+        first_row: usize,
+        k: usize,
+        n: usize,
+    ) {
+        let rows = band.len() / n;
+        let mut r = 0;
+        while r + MR <= rows {
+            let tile = &mut band[r * n..(r + MR) * n];
+            rows_tile::<MR, SPARSE>(lhs, b, tile, first_row + r, k, n);
+            r += MR;
+        }
+        while r < rows {
+            let tile = &mut band[r * n..(r + 1) * n];
+            rows_tile::<1, SPARSE>(lhs, b, tile, first_row + r, k, n);
+            r += 1;
+        }
+    }
+
+    /// One accumulator step `acc + a·b`, unfused, in the caller's zero-skip
+    /// form. The branchy form has already skipped `a == 0`; the sparse form
+    /// computes the sum anyway and blends the old accumulator back where
+    /// `a == 0` (the broadcast makes the mask all-or-nothing), which keeps
+    /// the accumulator bit for bit — `-0.0`, ±inf and NaN in `B` included —
+    /// without a data-dependent branch.
+    // SAFETY: requires AVX2+FMA — only called from `rows_tile`, which has
+    // the same target-feature precondition; register-only, no memory access.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[inline]
+    unsafe fn mac<const SPARSE: bool>(acc: __m256, av: __m256, bv: __m256) -> __m256 {
+        let sum = _mm256_add_ps(acc, _mm256_mul_ps(av, bv));
+        if SPARSE {
+            let skip = _mm256_cmp_ps::<_CMP_EQ_OQ>(av, _mm256_setzero_ps());
+            _mm256_blendv_ps(sum, acc, skip)
+        } else {
+            sum
+        }
+    }
+
+    /// The register tile: `R` C-rows × 2 vector columns (16 f32 lanes) of
+    /// accumulators held in registers across the whole `k` loop, then one
+    /// 8-lane column, then one masked column over the last `n % 8` lanes;
+    /// each `B` row load is reused by all `R` rows. Every lane runs the
+    /// scalar reference's op sequence for its `C[i, j]`: unfused mul+add in
+    /// ascending `p`, with `a == 0` skipped (by branch, or by blend when
+    /// `SPARSE`).
+    // SAFETY: requires AVX2+FMA — every call path reaches here through a
+    // dispatcher that checked `avx2_available()` first. Pointer arithmetic
+    // stays within the slice extents checked by the safe wrappers; the
+    // masked tail touches only lanes `j..n` of each row.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn rows_tile<const R: usize, const SPARSE: bool>(
         lhs: &Lhs,
         b: &[f32],
         crows: &mut [f32],
@@ -1492,12 +1610,12 @@ mod avx2 {
                 let b1 = _mm256_loadu_ps(bp.add(p * n + j + 8));
                 for r in 0..R {
                     let a = lhs.at_unchecked(i0 + r, p);
-                    if a == 0.0 {
+                    if !SPARSE && a == 0.0 {
                         continue;
                     }
                     let av = _mm256_set1_ps(a);
-                    acc0[r] = _mm256_add_ps(acc0[r], _mm256_mul_ps(av, b0));
-                    acc1[r] = _mm256_add_ps(acc1[r], _mm256_mul_ps(av, b1));
+                    acc0[r] = mac::<SPARSE>(acc0[r], av, b0);
+                    acc1[r] = mac::<SPARSE>(acc1[r], av, b1);
                 }
             }
             for r in 0..R {
@@ -1506,7 +1624,7 @@ mod avx2 {
             }
             j += 16;
         }
-        while j + 8 <= n {
+        if j + 8 <= n {
             let mut acc = [_mm256_setzero_ps(); R];
             for r in 0..R {
                 acc[r] = _mm256_loadu_ps(cp.add(r * n + j));
@@ -1515,10 +1633,10 @@ mod avx2 {
                 let b0 = _mm256_loadu_ps(bp.add(p * n + j));
                 for r in 0..R {
                     let a = lhs.at_unchecked(i0 + r, p);
-                    if a == 0.0 {
+                    if !SPARSE && a == 0.0 {
                         continue;
                     }
-                    acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(_mm256_set1_ps(a), b0));
+                    acc[r] = mac::<SPARSE>(acc[r], _mm256_set1_ps(a), b0);
                 }
             }
             for r in 0..R {
@@ -1527,16 +1645,30 @@ mod avx2 {
             j += 8;
         }
         if j < n {
+            // SAFETY: lanes `0..n - j` are live, and `j < n` puts every
+            // live lane of each row (`r * n + j..r * n + n` of `crows`,
+            // `p * n + j..p * n + n` of `b`) in bounds. Masked-off lanes are
+            // neither read nor written (maskload yields 0.0 there and never
+            // faults), and their register contents are dropped by the
+            // masked store.
+            let live = _mm256_set1_epi32((n - j) as i32);
+            let mask = _mm256_cmpgt_epi32(live, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+            let mut acc = [_mm256_setzero_ps(); R];
             for r in 0..R {
-                for p in 0..k {
+                acc[r] = _mm256_maskload_ps(cp.add(r * n + j), mask);
+            }
+            for p in 0..k {
+                let b0 = _mm256_maskload_ps(bp.add(p * n + j), mask);
+                for r in 0..R {
                     let a = lhs.at_unchecked(i0 + r, p);
-                    if a == 0.0 {
+                    if !SPARSE && a == 0.0 {
                         continue;
                     }
-                    for jj in j..n {
-                        *crows.get_unchecked_mut(r * n + jj) += a * *b.get_unchecked(p * n + jj);
-                    }
+                    acc[r] = mac::<SPARSE>(acc[r], _mm256_set1_ps(a), b0);
                 }
+            }
+            for r in 0..R {
+                _mm256_maskstore_ps(cp.add(r * n + j), mask, acc[r]);
             }
         }
     }
@@ -1588,30 +1720,62 @@ mod tests {
         }
     }
 
+    /// Bit patterns, so NaN results compare too.
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn matmul_block_is_backend_invariant_on_awkward_shapes() {
+        // Columns 1..=40 run the 16-lane, 8-lane and masked tiles; zero
+        // shares 0–90% run both zero-skip forms; `C` starts non-zero with
+        // `-0.0` entries, and `B` holds ±inf and NaN (one per column, so
+        // every NaN has a single source).
         for &(m, k, n) in &[
             (1usize, 1usize, 1usize),
             (5, 3, 7),
             (13, 9, 17),
             (33, 21, 41),
+            (10, 64, 27),
+            (7, 12, 40),
+            (6, 5, 31),
         ] {
-            let a = filled(m * k, (m * k) as u64);
-            let b = filled(k * n, (k * n) as u64 ^ 5);
-            let run = |kernel: SimdKernel, portable: bool| {
-                with_backend(kernel, portable, || {
-                    let mut c = filled(m * n, 99);
-                    matmul_block(Lhs::RowMajor(&a, k), &b, &mut c, 0, k, n);
-                    c
-                })
-            };
-            let reference = run(SimdKernel::Scalar, false);
-            assert_eq!(reference, run(SimdKernel::Auto, false), "{m}x{k}x{n} isa");
-            assert_eq!(
-                reference,
-                run(SimdKernel::Auto, true),
-                "{m}x{k}x{n} portable"
-            );
+            for tenths in [0usize, 1, 3, 9] {
+                let mut a = filled(m * k, (m * k) as u64);
+                for (i, v) in a.iter_mut().enumerate() {
+                    if (i * 7 + tenths) % 10 < tenths {
+                        *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+                    }
+                }
+                let mut b = filled(k * n, (k * n) as u64 ^ 5);
+                for j in (0..n).step_by(3) {
+                    b[((j * 5) % k) * n + j] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][j % 3];
+                }
+                let mut c0 = filled(m * n, 99);
+                for v in c0.iter_mut().step_by(4) {
+                    *v = -0.0;
+                }
+                let run = |kernel: SimdKernel, portable: bool, lhs: Lhs| {
+                    with_backend(kernel, portable, || {
+                        let mut c = c0.clone();
+                        matmul_block(lhs, &b, &mut c, 0, k, n);
+                        bits(&c)
+                    })
+                };
+                // The same `A` values read row-major and transposed.
+                let mut at = vec![0.0f32; m * k];
+                transpose(&a, &mut at, m, k);
+                for lhs in [Lhs::RowMajor(&a, k), Lhs::ColMajor(&at, m)] {
+                    let reference = run(SimdKernel::Scalar, false, lhs);
+                    let tag = format!("{m}x{k}x{n} zeros={tenths}/10");
+                    assert_eq!(reference, run(SimdKernel::Auto, false, lhs), "{tag} isa");
+                    assert_eq!(
+                        reference,
+                        run(SimdKernel::Auto, true, lhs),
+                        "{tag} portable"
+                    );
+                }
+            }
         }
     }
 

@@ -1,8 +1,11 @@
 //! SIMD-vs-scalar bitwise equality for every kernel rewired through
 //! `fedat_tensor::simd`, over awkward shapes (non-multiple-of-8 tails,
-//! dims in 1..=17) × thread counts {1, 2, 4, 8}, plus the portable
+//! dims in 1..=17, matmul columns in 1..=40 so the 16-lane, 8-lane and
+//! masked tiles all run) × thread counts {1, 2, 4, 8}, plus the portable
 //! fallback (ISA-independence: `Auto` must not depend on what the host
-//! detects).
+//! detects). The matmul cases start from a non-zero output holding `-0.0`,
+//! put ±inf and NaN into `B`, and sweep the `A` zero share from 0% to 90%,
+//! so both zero-skip forms are compared bit for bit.
 //!
 //! Each case scopes its kernel selection with a thread-local
 //! [`KernelCtx`] overlay, so concurrently running tests never see each
@@ -31,14 +34,44 @@ fn filled(len: usize, seed: u64) -> Vec<f32> {
     v
 }
 
-/// Zeroes a deterministic subset of a buffer (the post-ReLU sparsity
-/// pattern the matmul zero-skip fast path reacts to).
+/// Zeroes a deterministic subset of a buffer — the post-ReLU / post-pool
+/// sparsity the matmul zero-skip reacts to. The zero share runs from 0% to
+/// 90% with `seed % 10` (max-pool backward leaves about 90%), so calls land
+/// on both sides of the kernel's dense/sparse threshold; every other zero
+/// is `-0.0`, which the skip must treat exactly like `0.0`.
 fn sparsify(v: &mut [f32], seed: u64) {
+    let tenths = seed % 10;
     for (i, x) in v.iter_mut().enumerate() {
-        if (i as u64).wrapping_mul(2654435761) % 7 < (seed % 4) {
-            *x = 0.0;
+        if (i as u64).wrapping_mul(2654435761) % 10 < tenths {
+            *x = if i % 2 == 0 { 0.0 } else { -0.0 };
         }
     }
+}
+
+/// Puts one IEEE special (+inf, −inf or NaN, in turn) into every third
+/// output column of a `[depth, lanes]` right-hand operand; `at(p, j)` maps
+/// row `p`, column `j` to the buffer index. A zero `A` element meeting a
+/// special must be skipped (`0·inf` is NaN), and one special per column
+/// keeps the NaN payloads single-sourced, so a bitwise comparison is fair.
+fn specials(v: &mut [f32], depth: usize, lanes: usize, at: impl Fn(usize, usize) -> usize) {
+    const SPECIALS: [f32; 3] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    for j in (0..lanes).step_by(3) {
+        v[at((j * 7 + 1) % depth, j)] = SPECIALS[(j / 3) % 3];
+    }
+}
+
+/// The initial output buffer: non-zero values with every fifth element
+/// `-0.0`, so the accumulators start from state the skip must preserve.
+fn seeded_out(len: usize, seed: u64) -> Vec<f32> {
+    let mut c = filled(len, seed ^ 0x5eed);
+    for v in c.iter_mut().step_by(5) {
+        *v = -0.0;
+    }
+    c
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 /// Runs `f` on this thread under the given SIMD kernel, portable-only
@@ -53,16 +86,16 @@ fn under<R>(simd: SimdKernel, portable_only: bool, max_threads: usize, f: impl F
     f()
 }
 
-/// Runs `kernel` (writing into a fresh zeroed buffer) under
+/// Runs `kernel` (writing into a copy of `init`) under
 /// `SimdKernel::Scalar` at one thread as the reference, then under `Auto`
 /// (ISA path and portable fallback) across the thread sweep, asserting
-/// bitwise equality throughout.
-fn assert_simd_invariant(out_len: usize, kernel: impl Fn(&mut [f32])) -> Result<(), TestCaseError> {
+/// bitwise equality (`to_bits`, so NaN results are compared too).
+fn assert_simd_invariant(init: &[f32], kernel: impl Fn(&mut [f32])) -> Result<(), TestCaseError> {
     let run = |simd, portable, threads| {
         under(simd, portable, threads, || {
-            let mut out = vec![0.0f32; out_len];
+            let mut out = init.to_vec();
             kernel(&mut out);
-            out
+            bits(&out)
         })
     };
     let reference = run(SimdKernel::Scalar, false, 1);
@@ -84,32 +117,36 @@ fn assert_simd_invariant(out_len: usize, kernel: impl Fn(&mut [f32])) -> Result<
 proptest! {
     #[test]
     fn matmul_nn_simd_matches_scalar_bitwise(
-        m in 1usize..=17, k in 1usize..=17, n in 1usize..=17, seed in 0u64..500
+        m in 1usize..=17, k in 1usize..=17, n in 1usize..=40, seed in 0u64..500
     ) {
         let mut a = filled(m * k, seed);
         sparsify(&mut a, seed);
-        let b = filled(k * n, seed ^ 1);
-        assert_simd_invariant(m * n, |c| matmul_into(&a, &b, c, m, k, n))?;
+        let mut b = filled(k * n, seed ^ 1);
+        specials(&mut b, k, n, |p, j| p * n + j);
+        assert_simd_invariant(&seeded_out(m * n, seed), |c| matmul_into(&a, &b, c, m, k, n))?;
     }
 
     #[test]
     fn matmul_tn_simd_matches_scalar_bitwise(
-        m in 1usize..=17, k in 1usize..=17, n in 1usize..=17, seed in 0u64..500
+        m in 1usize..=17, k in 1usize..=17, n in 1usize..=40, seed in 0u64..500
     ) {
         let mut a = filled(k * m, seed);
         sparsify(&mut a, seed);
-        let b = filled(k * n, seed ^ 2);
-        assert_simd_invariant(m * n, |c| matmul_tn_into(&a, &b, c, m, k, n))?;
+        let mut b = filled(k * n, seed ^ 2);
+        specials(&mut b, k, n, |p, j| p * n + j);
+        assert_simd_invariant(&seeded_out(m * n, seed), |c| matmul_tn_into(&a, &b, c, m, k, n))?;
     }
 
     #[test]
     fn matmul_nt_simd_matches_scalar_bitwise(
-        m in 1usize..=17, k in 1usize..=17, n in 1usize..=17, seed in 0u64..500
+        m in 1usize..=17, k in 1usize..=17, n in 1usize..=40, seed in 0u64..500
     ) {
         let mut a = filled(m * k, seed);
         sparsify(&mut a, seed);
-        let b = filled(n * k, seed ^ 3);
-        assert_simd_invariant(m * n, |c| matmul_nt_into(&a, &b, c, m, k, n))?;
+        // `B` is `[n, k]`; the kernel's column `j` is `B`'s row `j`.
+        let mut b = filled(n * k, seed ^ 3);
+        specials(&mut b, k, n, |p, j| j * k + p);
+        assert_simd_invariant(&seeded_out(m * n, seed), |c| matmul_nt_into(&a, &b, c, m, k, n))?;
     }
 
     #[test]
@@ -117,9 +154,10 @@ proptest! {
         // Past the 4-row × 16-column register tile: covers full tiles plus
         // row/column tails in one shape.
         let (m, k, n) = (61, 37, 53);
-        let a = filled(m * k, seed);
+        let mut a = filled(m * k, seed);
+        sparsify(&mut a, seed);
         let b = filled(k * n, seed ^ 4);
-        assert_simd_invariant(m * n, |c| matmul_into(&a, &b, c, m, k, n))?;
+        assert_simd_invariant(&seeded_out(m * n, seed), |c| matmul_into(&a, &b, c, m, k, n))?;
     }
 
     #[test]
@@ -215,7 +253,7 @@ proptest! {
             .collect();
         let refs: Vec<&[f32]> = inputs.iter().map(|v| v.as_slice()).collect();
         let weights: Vec<f32> = (0..n_inputs).map(|j| (j + 1) as f32 * 0.1).collect();
-        assert_simd_invariant(dim, |out| weighted_sum_into(&refs, &weights, out))?;
+        assert_simd_invariant(&vec![0.0; dim], |out| weighted_sum_into(&refs, &weights, out))?;
     }
 
     #[test]
